@@ -556,7 +556,6 @@ def _cmd_serve_bench_cluster(args, out) -> int:
     unsupported = [
         ("--async", args.use_async),
         ("--mode open", args.mode == "open"),
-        ("--no-cache", args.no_cache),
         ("--fault-rate", args.fault_rate > 0),
         ("--hedge-ms", args.hedge_ms > 0),
         ("--backends", args.backends > 0),
@@ -590,6 +589,9 @@ def _cmd_serve_bench_cluster(args, out) -> int:
         restart_budget=args.restart_budget,
         routing=args.routing,
         routing_config=routing_config,
+        result_cache_size=0 if args.no_cache else 512,
+        extraction_cache_size=0 if args.no_cache else 1024,
+        fewshot_cache_size=0 if args.no_cache else 1024,
         header={
             "requests": args.requests,
             "distinct": args.distinct,

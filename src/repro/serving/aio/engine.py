@@ -42,24 +42,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from repro.core.pipeline import PipelineResult
 from repro.datasets.types import Example
-from repro.observability.context import add_event
-from repro.observability.trace import Trace
-from repro.reliability.deadline import Deadline
 from repro.reliability.faults import BudgetExceededError, CircuitOpenError
-from repro.caching import normalize_question, result_cache_key
 from repro.serving.admission import AdmissionError
-from repro.serving.bulkhead import (
-    BulkheadFullError,
-    DbCircuitOpenError,
-    QuarantinedError,
-)
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import ServingEngine, _Request
 from repro.serving.stats import ServingStats
 from repro.serving.aio.batcher import BatchingLLM, MicroBatcher
 from repro.serving.aio.singleflight import RUN_SELF, SingleFlight
@@ -68,67 +58,42 @@ from repro.serving.aio.stats import AsyncServingStats
 __all__ = ["AsyncServingEngine"]
 
 
-class _Ctx:
-    """Per-request registration outcome carried into the async phase."""
+class _Ctx(_Request):
+    """A request's lifecycle state plus its single-flight role."""
 
-    __slots__ = (
-        "example", "seq", "start", "budget", "key", "trace",
-        "role", "flight", "result", "deadline",
-    )
+    __slots__ = ("role", "flight", "result")
 
-    def __init__(self, example):
-        self.example = example
-        self.seq = None
-        self.start = 0.0
-        self.budget = None
-        self.key = None
-        self.trace = None
+    def __init__(self, example, budget):
+        super().__init__(example, None, budget)
         self.role = None  # "lead" | "follow" | "cached"
         self.flight = None
         self.result = None
-        self.deadline = None
 
 
 class AsyncServingEngine(ServingEngine):
     """Coalescing, micro-batching asyncio front end for a pipeline.
 
-    Accepts every :class:`ServingEngine` parameter plus the batching
-    knobs.  The wrapped pipeline's LLM transports are rerouted through
-    the micro-batcher at construction (before the cache tiers wrap the
-    stage objects), so a pipeline handed to this engine must not be
-    served by another engine concurrently — same contract as the
-    threaded engine's cache wiring.
+    Accepts every :class:`ServingEngine` parameter.  The wrapped
+    pipeline's LLM transports are rerouted through the micro-batcher at
+    construction (before the cache tiers wrap the stage objects), so a
+    pipeline handed to this engine must not be served by another engine
+    concurrently — same contract as the threaded engine's cache wiring.
     """
 
-    def __init__(
-        self,
-        pipeline,
-        *args,
-        max_batch: int = 32,
-        batch_safety_window: float = 5.0,
-        run_slots: Optional[int] = None,
-        **kwargs,
-    ):
-        self.batcher = MicroBatcher(
-            max_batch=max_batch,
-            safety_timeout=batch_safety_window,
-            on_flush=self._on_flush,
-        )
+    def __init__(self, pipeline, *args, **kwargs):
+        self.batcher = MicroBatcher(on_flush=self._on_flush)
         # Install the batching shim while pipeline.extractor/generator/
         # refiner are still the raw stage objects — the cache wrappers
         # super() installs would otherwise shadow the rebind.
         pipeline.wrap_llms(lambda llm: BatchingLLM(llm, self.batcher))
         super().__init__(pipeline, *args, **kwargs)
         self.singleflight = SingleFlight()
-        self._async_lock = threading.Lock()
         # Pipeline runs need one thread each for the batcher's barrier to
         # see the whole cohort; admission's queue_capacity bounds how many
         # can be in flight, so size the pool to it.
-        slots = run_slots if run_slots is not None else max(
-            self.workers, self.admission.capacity
-        )
         self._run_pool = ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="aio-run"
+            max_workers=max(self.workers, self.admission.capacity),
+            thread_name_prefix="aio-run",
         )
         if self.metrics is not None:
             self._m_coalesced = self.metrics.counter(
@@ -213,59 +178,13 @@ class AsyncServingEngine(ServingEngine):
     def _register(
         self, example: Example, deadline_seconds: Optional[float] = None
     ) -> _Ctx:
-        """The synchronous prologue: gates, journal accept, dedup role."""
-        if self._closed:
-            raise RuntimeError("engine is shut down")
-        ctx = _Ctx(example)
-        bh_key = (example.db_id, normalize_question(example.question))
-        try:
-            self.bulkheads.acquire(example.db_id, bh_key, block=False)
-        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
-            if self.metrics is not None:
-                channel = {
-                    BulkheadFullError: "full",
-                    DbCircuitOpenError: "open",
-                    QuarantinedError: "quarantined",
-                }[type(exc)]
-                self._m_bulkhead_rejections.labels(channel=channel).inc()
-            raise
-        try:
-            self.admission.admit(block=False)
-        except BaseException:
-            self.bulkheads.release(example.db_id)
-            raise
-        with self._stats_lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
-        if self.journal is not None:
-            ctx.seq = self.journal.accept(example)
-        ctx.start = self._clock()
-        ctx.budget = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.deadline_seconds
-        )
-        ctx.key = result_cache_key(example, self.pipeline)
-        if self.tracing:
-            ctx.trace = Trace(question_id=example.question_id, db_id=example.db_id)
-        cached = self.result_cache.get(ctx.key)
-        if cached is not None:
+        """The synchronous prologue and result-tier probe, then the
+        single-flight role."""
+        ctx = self._begin(_Ctx(example, deadline_seconds), block=False)
+        ctx.result = self._probe(ctx)
+        if ctx.result is not None:
             ctx.role = "cached"
-            ctx.result = cached
-            if ctx.trace is not None:
-                ctx.trace.root.cache = "hit"
-                ctx.trace.root.event("result_cache", outcome="hit")
-                self._store_trace(ctx.trace.finish())
-            self.bulkheads.record_success(example.db_id, bh_key)
-            if self.journal is not None and ctx.seq is not None:
-                self.journal.commit(ctx.seq, "cached")
-            self._record(example, "cached", ctx.start, model_seconds=0.0)
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
             return ctx
-        if ctx.trace is not None:
-            ctx.trace.root.cache = "miss"
-            ctx.trace.root.event("result_cache", outcome="miss")
         ctx.flight, leader = self.singleflight.begin(ctx.key)
         ctx.role = "lead" if leader else "follow"
         return ctx
@@ -289,6 +208,8 @@ class AsyncServingEngine(ServingEngine):
             # mark retrieved so a follower-less flight does not warn
             _ = flight.future.exception()
             raise
+        finally:
+            self._release(ctx)
         self.singleflight.finish(flight)
         # A deadline-truncated answer is a degraded stand-in — never
         # shared, mirroring the result-cache rule.  A doomed flight
@@ -301,36 +222,16 @@ class AsyncServingEngine(ServingEngine):
         return result
 
     async def _follow(self, ctx: _Ctx) -> PipelineResult:
-        example, flight = ctx.example, ctx.flight
-        bh_key = (example.db_id, normalize_question(example.question))
+        example = ctx.example
         try:
+            # Cancellation (ours or the leader's) propagates uncaught: no
+            # commit — the seq stays pending and recovery completes it.
             try:
-                outcome = await asyncio.shield(flight.future)
-            except asyncio.CancelledError:
-                # Our task was cancelled (or the leader was): no commit —
-                # the seq stays pending and recovery completes it.
-                raise
+                outcome = await asyncio.shield(ctx.flight.future)
             except Exception as exc:
                 # The leader failed; this request fails identically, and
                 # a fresh recovery re-runs it to the same typed error.
-                error = f"{type(exc).__name__}: {exc}"
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=error)
-                if self.bulkheads.record_crash(example.db_id, bh_key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and ctx.seq is not None:
-                    self.journal.commit(ctx.seq, "failed", error=error)
-                if ctx.trace is not None:
-                    ctx.trace.root.status = "failed"
-                    ctx.trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(ctx.trace.finish())
-                self._record(example, "failed", ctx.start, error=str(exc))
+                self._fail(ctx, exc)
                 raise
             if outcome is RUN_SELF:
                 # Fail-open: the leader's answer was deadline-truncated.
@@ -342,82 +243,26 @@ class AsyncServingEngine(ServingEngine):
                     "single_flight", outcome="coalesced", key=str(ctx.key)
                 )
                 self._store_trace(ctx.trace.finish())
-            self.bulkheads.record_success(example.db_id, bh_key)
+            self.bulkheads.record_success(example.db_id, ctx.bh_key)
             if self.journal is not None and ctx.seq is not None:
                 self.journal.commit(ctx.seq, "coalesced")
-            self._record(example, "coalesced", ctx.start, model_seconds=0.0)
+            self._record(example, "coalesced", ctx.start)
             if self.metrics is not None:
                 self._m_coalesced.inc()
             return outcome
         finally:
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
+            self._release(ctx)
 
     async def _serve_fresh(self, ctx: _Ctx) -> PipelineResult:
-        """Run the pipeline off-loop with full threaded-path bookkeeping."""
-        example = ctx.example
-        bh_key = (example.db_id, normalize_question(example.question))
-        release = ctx.role == "lead"  # fail-open followers release in _follow
+        """Run the pipeline off-loop and commit through the shared
+        outcomes; the caller releases the request's slots."""
         try:
-            try:
-                result = await self._offload(ctx)
-            except Exception as exc:
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=str(exc))
-                if self.bulkheads.record_crash(example.db_id, bh_key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and ctx.seq is not None:
-                    self.journal.commit(
-                        ctx.seq, "failed", error=f"{type(exc).__name__}: {exc}"
-                    )
-                if ctx.trace is not None:
-                    ctx.trace.root.status = "failed"
-                    ctx.trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(ctx.trace.finish(deadline=ctx.deadline))
-                self._record(example, "failed", ctx.start, error=str(exc))
-                raise
-            if ctx.trace is not None:
-                # pipeline.answer already finished the root with totals
-                self._store_trace(ctx.trace)
-            self.admission.record_success()
-            self.health.record("pipeline", True)
-            self.bulkheads.record_success(example.db_id, bh_key)
-            exceeded = result.deadline_exceeded
-            self.health.record("deadline", not exceeded)
-            if not exceeded:
-                if self.epochs is not None:
-                    # a stale retry (or doomed re-run) may have crossed an
-                    # epoch bump; re-derive the key so the entry lands
-                    # under the catalog that produced it
-                    ctx.key = result_cache_key(example, self.pipeline)
-                self.result_cache.put(ctx.key, result)
-            if self.journal is not None and ctx.seq is not None:
-                self.journal.commit(ctx.seq, "ok", result=result)
-            routing = getattr(result, "routing", None)
-            if self.metrics is not None and routing is not None:
-                self._m_tier.labels(tier=routing.final_tier).inc()
-                for event in routing.escalations:
-                    self._m_escalations.labels(reason=event.reason).inc()
-                for attempt in routing.attempts:
-                    self._m_tier_tokens.labels(tier=attempt.tier).inc(attempt.tokens)
-            self._record(
-                example,
-                "ok",
-                ctx.start,
-                model_seconds=result.cost.total_model_seconds,
-                deadline_exceeded=exceeded,
-            )
-            return result
-        finally:
-            if release:
-                self.bulkheads.release(example.db_id)
-                self.admission.release()
+            result = await self._offload(ctx)
+        except Exception as exc:
+            self._fail(ctx, exc)
+            raise
+        self._succeed(ctx, result)
+        return result
 
     async def _offload(self, ctx: _Ctx) -> PipelineResult:
         """Run ``pipeline.answer`` on the run pool as a batcher runner."""
@@ -426,15 +271,10 @@ class AsyncServingEngine(ServingEngine):
         def run() -> PipelineResult:
             self.batcher.runner_begun()
             try:
-                ctx.deadline = (
-                    Deadline(ctx.budget, clock=self._clock)
-                    if ctx.budget is not None
-                    else None
-                )
-                # _answer_guarded pins the catalog epoch on this pool
-                # thread and handles the one bounded stale retry; with no
-                # live-data registry attached it is a plain answer().
-                return self._answer_guarded(ctx.example, ctx.deadline, ctx.trace)
+                # _execute builds the deadline on this pool thread;
+                # _answer_guarded pins the catalog epoch here and handles
+                # the one bounded stale retry.
+                return self._execute(ctx)
             finally:
                 self.batcher.runner_finished()
 

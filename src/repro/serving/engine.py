@@ -187,6 +187,25 @@ class CachingFewShotLibrary:
         return getattr(self.inner, name)
 
 
+class _Request:
+    """One admitted request's state, from the prologue to its outcome."""
+
+    __slots__ = (
+        "example", "seq", "bh_key", "budget", "start", "key", "trace", "deadline",
+    )
+
+    def __init__(self, example: Example, seq: Optional[int], budget: Optional[float]):
+        self.example = example
+        self.seq = seq
+        # the bulkhead / quarantine key: acquire and every outcome use it
+        self.bh_key = (example.db_id, normalize_question(example.question))
+        self.budget = budget
+        self.start = 0.0
+        self.key: tuple = ()
+        self.trace: Optional[Trace] = None
+        self.deadline: Optional[Deadline] = None
+
+
 class ServingEngine:
     """Concurrent, cached, admission-controlled front end for a pipeline."""
 
@@ -470,38 +489,11 @@ class ServingEngine:
         coordinator forwards the *remaining* end-to-end budget after
         queue time).
         """
-        if self._closed:
-            raise RuntimeError("engine is shut down")
-        key = (example.db_id, normalize_question(example.question))
-        # The bulkhead gate runs first: a quarantined key or a saturated
-        # database must not consume a shared queue slot (or count as
-        # admitted) before being turned away.
+        req = self._begin(_Request(example, seq, deadline_seconds), block)
         try:
-            self.bulkheads.acquire(example.db_id, key, block=block)
-        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
-            if self.metrics is not None:
-                channel = {
-                    BulkheadFullError: "full",
-                    DbCircuitOpenError: "open",
-                    QuarantinedError: "quarantined",
-                }[type(exc)]
-                self._m_bulkhead_rejections.labels(channel=channel).inc()
-            raise
-        try:
-            self.admission.admit(block=block)
+            return self._pool.submit(self._handle, req)
         except BaseException:
-            self.bulkheads.release(example.db_id)
-            raise
-        with self._stats_lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
-        if self.journal is not None:
-            seq = self.journal.accept(example, seq=seq)
-        try:
-            return self._pool.submit(self._handle, example, seq, deadline_seconds)
-        except BaseException:
-            self.admission.release()
-            self.bulkheads.release(example.db_id)
+            self._release(req)
             raise
 
     def answer(self, example: Example) -> PipelineResult:
@@ -535,103 +527,164 @@ class ServingEngine:
 
     # ------------------------------------------------------------- handler
 
-    def _handle(
-        self,
-        example: Example,
-        seq: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> PipelineResult:
-        start = self._clock()
-        budget = (
-            deadline_seconds if deadline_seconds is not None else self.deadline_seconds
-        )
-        key = result_cache_key(example, self.pipeline)
-        trace = (
+    def _handle(self, req: _Request) -> PipelineResult:
+        cached = self._probe(req)
+        if cached is not None:
+            return cached
+        try:
+            try:
+                result = self._execute(req)
+            except Exception as exc:
+                self._fail(req, exc)
+                raise
+            self._succeed(req, result)
+            return result
+        finally:
+            self._release(req)
+
+    # ---------------------------------------------------- request lifecycle
+    #
+    # Both engines drive a request through these steps; only what runs
+    # between the probe and the outcome differs (a worker thread here, the
+    # async engine's leader / follower / fail-open roles there).
+
+    def _begin(self, req: _Request, block: bool) -> _Request:
+        """The prologue: bulkhead, admission, run clock, journal accept.
+
+        Raises the typed rejection (bulkhead or admission) when the
+        request is not admitted; on return it holds one bulkhead slot and
+        one admission slot, which :meth:`_release` gives back.
+        """
+        if self._closed:
+            raise RuntimeError("engine is shut down")
+        example = req.example
+        # The bulkhead gate runs first: a quarantined key or a saturated
+        # database must not consume a shared queue slot (or count as
+        # admitted) before being turned away.
+        try:
+            self.bulkheads.acquire(example.db_id, req.bh_key, block=block)
+        except (BulkheadFullError, DbCircuitOpenError, QuarantinedError) as exc:
+            if self.metrics is not None:
+                channel = {
+                    BulkheadFullError: "full",
+                    DbCircuitOpenError: "open",
+                    QuarantinedError: "quarantined",
+                }[type(exc)]
+                self._m_bulkhead_rejections.labels(channel=channel).inc()
+            raise
+        try:
+            self.admission.admit(block=block)
+        except BaseException:
+            self.bulkheads.release(example.db_id)
+            raise
+        with self._stats_lock:
+            if self._started_at is None:
+                self._started_at = self._clock()
+        if self.journal is not None:
+            req.seq = self.journal.accept(example, seq=req.seq)
+        if req.budget is None:
+            req.budget = self.deadline_seconds
+        return req
+
+    def _release(self, req: _Request) -> None:
+        self.bulkheads.release(req.example.db_id)
+        self.admission.release()
+
+    def _probe(self, req: _Request) -> Optional[PipelineResult]:
+        """Start the request's clock and trace, then probe the result tier.
+
+        A hit is the whole request: it commits ``"cached"``, is recorded
+        and releases its slots here.  A miss returns None with the slots
+        still held.
+        """
+        example = req.example
+        req.start = self._clock()
+        req.key = result_cache_key(example, self.pipeline)
+        trace = req.trace = (
             Trace(question_id=example.question_id, db_id=example.db_id)
             if self.tracing
             else None
         )
-        try:
-            cached = self.result_cache.get(key)
-            if cached is not None:
-                if trace is not None:
-                    trace.root.cache = "hit"
-                    trace.root.event("result_cache", outcome="hit")
-                    self._store_trace(trace.finish())
-                self.bulkheads.record_success(example.db_id, key)
-                if self.journal is not None and seq is not None:
-                    self.journal.commit(seq, "cached")
-                self._record(example, "cached", start, model_seconds=0.0)
-                return cached
+        cached = self.result_cache.get(req.key)
+        if cached is None:
             if trace is not None:
                 trace.root.cache = "miss"
                 trace.root.event("result_cache", outcome="miss")
-            deadline = (
-                Deadline(budget, clock=self._clock) if budget is not None else None
+            return None
+        if trace is not None:
+            trace.root.cache = "hit"
+            trace.root.event("result_cache", outcome="hit")
+            self._store_trace(trace.finish())
+        self.bulkheads.record_success(example.db_id, req.bh_key)
+        if self.journal is not None and req.seq is not None:
+            self.journal.commit(req.seq, "cached")
+        self._record(example, "cached", req.start)
+        self._release(req)
+        return cached
+
+    def _execute(self, req: _Request) -> PipelineResult:
+        """Answer a probed miss under the request's deadline."""
+        if req.budget is not None:
+            req.deadline = Deadline(req.budget, clock=self._clock)
+        return self._answer_guarded(req.example, req.deadline, req.trace)
+
+    def _fail(self, req: _Request, exc: Exception) -> None:
+        """The failed outcome: breaker, health, quarantine, commit, record."""
+        example, seq = req.example, req.seq
+        self.admission.record_failure()
+        self.health.record("pipeline", False, detail=str(exc))
+        if self.bulkheads.record_crash(example.db_id, req.bh_key):
+            add_event(
+                "quarantine",
+                db_id=example.db_id,
+                question_id=example.question_id,
             )
-            try:
-                result = self._answer_guarded(example, deadline, trace)
-            except Exception as exc:
-                self.admission.record_failure()
-                self.health.record("pipeline", False, detail=str(exc))
-                if self.bulkheads.record_crash(example.db_id, key):
-                    add_event(
-                        "quarantine",
-                        db_id=example.db_id,
-                        question_id=example.question_id,
-                    )
-                    if self.metrics is not None:
-                        self._m_quarantine.inc()
-                if self.journal is not None and seq is not None:
-                    self.journal.commit(
-                        seq, "failed", error=f"{type(exc).__name__}: {exc}"
-                    )
-                if trace is not None:
-                    trace.root.status = "failed"
-                    trace.root.event("request_failed", error=str(exc))
-                    self._store_trace(trace.finish(deadline=deadline))
-                self._record(example, "failed", start, error=str(exc))
-                raise
-            if trace is not None:
-                # pipeline.answer already finished the root with totals
-                self._store_trace(trace)
-            self.admission.record_success()
-            self.health.record("pipeline", True)
-            self.bulkheads.record_success(example.db_id, key)
-            exceeded = result.deadline_exceeded
-            self.health.record("deadline", not exceeded)
-            if not exceeded:
-                # a deadline-truncated answer is a degraded stand-in;
-                # caching it would keep serving the degradation after
-                # load subsides
-                if self.epochs is not None:
-                    # a stale retry moved the epoch mid-request; re-derive
-                    # the key so the entry lands under the catalog that
-                    # actually produced it
-                    key = result_cache_key(example, self.pipeline)
-                self.result_cache.put(key, result)
-            if self.journal is not None and seq is not None:
-                self.journal.commit(seq, "ok", result=result)
-            routing = getattr(result, "routing", None)
-            if self.metrics is not None and routing is not None:
-                self._m_tier.labels(tier=routing.final_tier).inc()
-                for event in routing.escalations:
-                    self._m_escalations.labels(reason=event.reason).inc()
-                for attempt in routing.attempts:
-                    self._m_tier_tokens.labels(tier=attempt.tier).inc(
-                        attempt.tokens
-                    )
-            self._record(
-                example,
-                "ok",
-                start,
-                model_seconds=result.cost.total_model_seconds,
-                deadline_exceeded=exceeded,
-            )
-            return result
-        finally:
-            self.bulkheads.release(example.db_id)
-            self.admission.release()
+            if self.metrics is not None:
+                self._m_quarantine.inc()
+        if self.journal is not None and seq is not None:
+            self.journal.commit(seq, "failed", error=f"{type(exc).__name__}: {exc}")
+        if req.trace is not None:
+            req.trace.root.status = "failed"
+            req.trace.root.event("request_failed", error=str(exc))
+            self._store_trace(req.trace.finish(deadline=req.deadline))
+        self._record(example, "failed", req.start, error=str(exc))
+
+    def _succeed(self, req: _Request, result: PipelineResult) -> None:
+        """The OK outcome: breaker, health, result tier, commit, record."""
+        example = req.example
+        if req.trace is not None:
+            # pipeline.answer already finished the root with totals
+            self._store_trace(req.trace)
+        self.admission.record_success()
+        self.health.record("pipeline", True)
+        self.bulkheads.record_success(example.db_id, req.bh_key)
+        exceeded = result.deadline_exceeded
+        self.health.record("deadline", not exceeded)
+        if not exceeded:
+            # a deadline-truncated answer is a degraded stand-in; caching
+            # it would keep serving the degradation after load subsides
+            if self.epochs is not None:
+                # a stale retry (or the async engine's doomed re-run) may
+                # have crossed an epoch bump; re-derive the key so the
+                # entry lands under the catalog that actually produced it
+                req.key = result_cache_key(example, self.pipeline)
+            self.result_cache.put(req.key, result)
+        if self.journal is not None and req.seq is not None:
+            self.journal.commit(req.seq, "ok", result=result)
+        routing = getattr(result, "routing", None)
+        if self.metrics is not None and routing is not None:
+            self._m_tier.labels(tier=routing.final_tier).inc()
+            for event in routing.escalations:
+                self._m_escalations.labels(reason=event.reason).inc()
+            for attempt in routing.attempts:
+                self._m_tier_tokens.labels(tier=attempt.tier).inc(attempt.tokens)
+        self._record(
+            example,
+            "ok",
+            req.start,
+            model_seconds=result.cost.total_model_seconds,
+            deadline_exceeded=exceeded,
+        )
 
     def _answer_guarded(
         self,

@@ -264,3 +264,61 @@ class TestTieredDedup:
             stats = engine.stats()
         assert None not in sqls(served)
         assert stats.coalesced == len(workload) - len(keys)
+
+
+class TestFailurePath:
+    def test_failing_key_fails_like_the_threaded_engine(
+        self, tiny_benchmark, tmp_path
+    ):
+        """A key whose pipeline run raises: the async leader and its
+        followers commit the same ``"failed"`` outcome the threaded engine
+        commits for each request, with the same error and accounting."""
+        dev = tiny_benchmark.dev
+        poisoned = dev[1]
+        # the poisoned key three times: the third crash trips quarantine
+        workload = [dev[0], poisoned, dev[0], poisoned, dev[2], poisoned, dev[0]]
+        error = f"RuntimeError: poisoned {poisoned.question_id}"
+
+        def serve(engine_cls, name):
+            pipeline = fresh_pipeline(tiny_benchmark)
+            answer = pipeline.answer
+
+            def failing(example, **kwargs):
+                if example.question_id == poisoned.question_id:
+                    raise RuntimeError(f"poisoned {example.question_id}")
+                return answer(example, **kwargs)
+
+            pipeline.answer = failing
+            journal = ServingJournal(tmp_path / f"{name}.jsonl")
+            metrics = MetricsRegistry()
+            with engine_cls(
+                pipeline,
+                workers=1,
+                queue_capacity=len(workload),
+                journal=journal,
+                metrics=metrics,
+            ) as engine:
+                served = engine.run(workload)
+                stats = engine.stats()
+            commits = [journal.committed(seq) for seq in range(len(workload))]
+            exported = metrics.snapshot()["metrics"]
+            quarantined = exported["repro_serving_quarantine_total"]["samples"]["_"]
+            return served, commits, stats, quarantined
+
+        threaded = serve(ServingEngine, "threaded")
+        served, commits, stats, quarantined = serve(AsyncServingEngine, "async")
+        # dev[0]'s two repeats coalesce; the poisoned key's two followers
+        # share its leader's failure instead
+        assert stats.coalesced == 2
+        for position, example in enumerate(workload):
+            if example is poisoned:
+                assert served[position] is None
+                assert commits[position]["status"] == "failed"
+                assert commits[position]["error"] == error
+                assert threaded[1][position]["status"] == "failed"
+                assert threaded[1][position]["error"] == error
+            else:
+                assert served[position] is not None
+                assert commits[position]["status"] != "failed"
+        assert stats.failed == threaded[2].failed == 3
+        assert quarantined == threaded[3] == 1

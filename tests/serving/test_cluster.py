@@ -68,20 +68,24 @@ def cluster_config(tmp_path, **overrides):
     return ClusterConfig(**defaults)
 
 
-def reference_doc(tmp_path, workload):
+def reference_doc(tmp_path, workload, cache_size=512):
     """Deterministic report of an undisturbed single-process run."""
-    config = cluster_config(tmp_path, shards=1,
-                            journal_dir=str(tmp_path / "reference"))
+    reference = tmp_path / f"reference-{cache_size}"
+    config = cluster_config(tmp_path, shards=1, journal_dir=str(reference))
     _, pipeline = build_worker_pipeline(config)
-    journal = ServingJournal(tmp_path / "reference" / "single.jsonl")
+    journal = ServingJournal(reference / "single.jsonl")
+    inner_size = 1024 if cache_size else 0
     engine = ServingEngine(
-        pipeline, workers=1, result_cache_size=512, journal=journal
+        pipeline, workers=1, result_cache_size=cache_size,
+        extraction_cache_size=inner_size, fewshot_cache_size=inner_size,
+        journal=journal,
     )
     with engine:
         engine.run(workload)
     _, clean = build_worker_pipeline(config)
     outcomes = recover_run(
-        ServingJournal(tmp_path / "reference" / "single.jsonl"), clean, workload
+        ServingJournal(reference / "single.jsonl"), clean, workload,
+        result_cache_size=cache_size,
     )
     report = assemble_report(outcomes, workload, clean)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
@@ -90,7 +94,9 @@ def reference_doc(tmp_path, workload):
 def recovered_doc(config, workload):
     view = ShardedJournalView(config.journal_dir)
     _, clean = build_worker_pipeline(config)
-    outcomes = recover_run(view, clean, workload)
+    outcomes = recover_run(
+        view, clean, workload, result_cache_size=config.result_cache_size
+    )
     report = assemble_report(outcomes, workload, clean)
     return json.dumps(report.deterministic_dict(), sort_keys=True)
 
@@ -148,6 +154,19 @@ class TestClusterServing:
 
         assert recovered_doc(config, smoke_workload) == reference_doc(
             tmp_path, smoke_workload
+        )
+
+        # every cache tier off (serve-bench --shards --no-cache): recovery
+        # replays with the same zero-size result tier
+        uncached = cluster_config(
+            tmp_path, journal_dir=str(tmp_path / "uncached"),
+            result_cache_size=0, extraction_cache_size=0, fewshot_cache_size=0,
+        )
+        with ShardCoordinator(uncached) as coordinator:
+            assert None not in coordinator.run(smoke_workload)
+        assert ShardedJournalView(uncached.journal_dir).pending() == []
+        assert recovered_doc(uncached, smoke_workload) == reference_doc(
+            tmp_path, smoke_workload, cache_size=0
         )
 
     def test_sigkill_with_budget_restarts_and_matches_reference(

@@ -16,7 +16,13 @@ from repro.llm.simulated import SimulatedLLM
 from repro.llm.skills import GPT_4O
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.faults import BudgetExceededError, CircuitOpenError
-from repro.serving import AdmissionController, QueueFullError, ServingEngine
+from repro.routing import TieredPipeline
+from repro.serving import (
+    AdmissionController,
+    QuarantinedError,
+    QueueFullError,
+    ServingEngine,
+)
 
 
 @pytest.fixture
@@ -214,6 +220,31 @@ class TestServingEngine:
         assert stats.failed + stats.rejected_open == 5
         assert stats.completed == 0
         assert stats.breaker_state == "open"
+
+    def test_quarantine_keys_on_the_question_under_routing(self, tiny_benchmark):
+        """Crash strikes land on the bulkhead key, not the tier-suffixed
+        result-cache key, so a routed poison pill is quarantined too."""
+        tiered = TieredPipeline(
+            OpenSearchSQL(
+                tiny_benchmark,
+                SimulatedLLM(GPT_4O, seed=0),
+                PipelineConfig(n_candidates=3),
+            )
+        )
+        poisoned = tiny_benchmark.dev[1]
+
+        def failing(example, **kwargs):
+            raise RuntimeError("boom")
+
+        tiered.answer = failing
+        with ServingEngine(tiered, workers=1) as engine:
+            for _ in range(3):
+                with pytest.raises(RuntimeError):
+                    engine.answer(poisoned)
+            with pytest.raises(QuarantinedError):
+                engine.answer(poisoned)
+            roster = engine.stats().bulkheads["quarantined"]
+        assert list(roster.values()) == [3]
 
     def test_latency_and_throughput_accounting(self, fresh_pipeline, tiny_benchmark):
         examples = tiny_benchmark.dev[:4]
