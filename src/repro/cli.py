@@ -40,6 +40,14 @@ from repro.llm.skills import skill_by_name
 __all__ = ["main", "build_parser"]
 
 
+def _fault_rate(text: str) -> float:
+    """``--fault-rate`` values: a probability in [0, 1]."""
+    rate = float(text)
+    if not 0.0 <= rate <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return rate
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", metavar="PATH",
                     help="JSONL checkpoint file: finished examples are "
                          "appended and replayed on resume")
-    ev.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    ev.add_argument("--fault-rate", type=_fault_rate, default=0.0, metavar="R",
                     help="inject transport/content faults at rate R "
                          "(chaos mode; default: 0 = off)")
     ev.add_argument("--no-retry", action="store_true",
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adaptive cost-tiered routing: serve each request "
                          "on a FAST (no-CoT mini) / FULL / HEAVY tier with "
                          "confidence-based escalation")
-    sb.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    sb.add_argument("--fault-rate", type=_fault_rate, default=0.0, metavar="R",
                     help="inject LLM and database faults at rate R each "
                          "(chaos mode; default: 0 = off)")
     sb.add_argument("--deadline-ms", type=float, default=0.0, metavar="MS",
@@ -274,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "requests (default: 1)")
     df.add_argument("--limit", type=int, default=0, metavar="N",
                     help="fuzz only the first N clean and N torn cut "
-                         "points (0 = every checkpoint append boundary)")
+                         "points, plus the final clean cut (the "
+                         "already-done probe); 0 = every checkpoint "
+                         "append boundary")
     df.add_argument("--no-torn", action="store_true",
                     help="skip torn (mid-append) cut variants")
     df.add_argument("--no-routing", action="store_true",
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--deadline-ms", type=float, default=0.0, metavar="MS",
                     help="per-request deadline in virtual milliseconds "
                          "(0 = none)")
-    tr.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
+    tr.add_argument("--fault-rate", type=_fault_rate, default=0.0, metavar="R",
                     help="inject LLM and database faults at rate R; "
                          "injections and retries appear as span events")
 
@@ -523,18 +533,9 @@ def _select_pool(dev, distinct: int, mode: str):
     if not distinct:
         return dev
     if mode == "spread":
-        by_db: dict = {}
-        for example in dev:
-            by_db.setdefault(example.db_id, []).append(example)
-        queues = list(by_db.values())
-        pool = []
-        index = 0
-        while len(pool) < distinct and any(queues):
-            queue = queues[index % len(queues)]
-            if queue:
-                pool.append(queue.pop(0))
-            index += 1
-        return pool
+        from repro.serving.workload import spread_pool
+
+        return spread_pool(dev, distinct)
     return dev[:distinct]
 
 

@@ -52,32 +52,13 @@ from repro.execution.executor import (
     _connection_lock,
 )
 from repro.observability.context import add_event, current_span
+from repro.seeded import MASK, pick_band, stable_hash
 
 if TYPE_CHECKING:  # avoid a circular import (reliability → core → execution)
     from repro.reliability.deadline import Deadline
     from repro.reliability.stats import ReliabilityStats
 
 __all__ = ["DbFaultKind", "DbFaultPlan", "FaultInjectingExecutor"]
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _stable_hash(*parts: object) -> int:
-    """Process-independent FNV-1a hash with a murmur-style finalizer."""
-    value = _FNV_OFFSET
-    data = "|".join(map(str, parts)).encode()
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & _MASK
-    value ^= value >> 33
-    value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-    value ^= value >> 33
-    return value
-
 
 class DbFaultKind:
     """Stat-record labels for injected database faults."""
@@ -170,7 +151,7 @@ class FaultInjectingExecutor:
     # ------------------------------------------------------------- helpers
 
     def _draw(self, sql: str, attempt: int, occurrence: int) -> float:
-        return _stable_hash(self.seed, sql, attempt, occurrence) / float(_MASK)
+        return stable_hash(self.seed, sql, attempt, occurrence) / float(MASK)
 
     def _record(self, kind: str, detail: str = "") -> None:
         with self._stats_lock:
@@ -180,7 +161,7 @@ class FaultInjectingExecutor:
         add_event("db_fault", kind=kind, detail=detail)
 
     def _content_rng_index(self, sql: str, attempt: int, n: int) -> int:
-        return _stable_hash("victim", self.seed, sql, attempt) % max(1, n)
+        return stable_hash("victim", self.seed, sql, attempt) % max(1, n)
 
     # ----------------------------------------------------------------- API
 
@@ -197,34 +178,41 @@ class FaultInjectingExecutor:
             occurrence = self._occurrences.get(key, 0)
             self._occurrences[key] = occurrence + 1
         plan = self.plan
-        draw = self._draw(sql, attempt, occurrence)
+        kind = pick_band(
+            self._draw(sql, attempt, occurrence),
+            (
+                (DbFaultKind.LOCKED, plan.locked),
+                (DbFaultKind.DISK_ERROR, plan.disk_error),
+                (DbFaultKind.CONNECTION_DROP, plan.connection_drop),
+                (DbFaultKind.SLOW_QUERY, plan.slow_query),
+                (DbFaultKind.TRUNCATED_ROWS, plan.truncate_rows),
+                (DbFaultKind.CORRUPT_ROWS, plan.corrupt_rows),
+            ),
+        )
 
-        if draw < plan.locked:
-            self._record(DbFaultKind.LOCKED, detail=sql[:60])
+        if kind == DbFaultKind.LOCKED:
+            self._record(kind, detail=sql[:60])
             return ExecutionOutcome(
                 status=ExecutionStatus.LOCKED, error="database is locked"
             )
-        draw -= plan.locked
 
-        if draw < plan.disk_error:
-            self._record(DbFaultKind.DISK_ERROR, detail=sql[:60])
+        if kind == DbFaultKind.DISK_ERROR:
+            self._record(kind, detail=sql[:60])
             return ExecutionOutcome(
                 status=ExecutionStatus.DISK_ERROR, error="disk I/O error"
             )
-        draw -= plan.disk_error
 
-        if draw < plan.connection_drop:
-            self._record(DbFaultKind.CONNECTION_DROP, detail=sql[:60])
+        if kind == DbFaultKind.CONNECTION_DROP:
+            self._record(kind, detail=sql[:60])
             self._drop_connection()
             # The statement now runs against a dead connection: the inner
             # executor either reports CONNECTION_ERROR or — with reconnect
             # wired — recycles and absorbs the fault entirely.
             return self.inner.execute(sql, deadline)
-        draw -= plan.connection_drop
 
-        if draw < plan.slow_query:
+        if kind == DbFaultKind.SLOW_QUERY:
             outcome = self.inner.execute(sql, deadline)
-            self._record(DbFaultKind.SLOW_QUERY, detail=sql[:60])
+            self._record(kind, detail=sql[:60])
             if deadline is not None:
                 deadline.charge(plan.slow_seconds)
             span = current_span()
@@ -235,22 +223,20 @@ class FaultInjectingExecutor:
             return replace(
                 outcome, elapsed_seconds=outcome.elapsed_seconds + plan.slow_seconds
             )
-        draw -= plan.slow_query
 
         outcome = self.inner.execute(sql, deadline)
         if outcome.status is not ExecutionStatus.OK or not outcome.rows:
             return outcome
 
-        if draw < plan.truncate_rows:
-            self._record(DbFaultKind.TRUNCATED_ROWS, detail=sql[:60])
+        if kind == DbFaultKind.TRUNCATED_ROWS:
+            self._record(kind, detail=sql[:60])
             keep = max(1, len(outcome.rows) // 2)
             if keep < len(outcome.rows):
                 return replace(outcome, rows=outcome.rows[:keep])
             return outcome
-        draw -= plan.truncate_rows
 
-        if draw < plan.corrupt_rows:
-            self._record(DbFaultKind.CORRUPT_ROWS, detail=sql[:60])
+        if kind == DbFaultKind.CORRUPT_ROWS:
+            self._record(kind, detail=sql[:60])
             victim = self._content_rng_index(sql, attempt, len(outcome.rows))
             rows = list(outcome.rows)
             rows[victim] = tuple(_corrupt_cell(cell) for cell in rows[victim])

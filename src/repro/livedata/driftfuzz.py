@@ -15,8 +15,11 @@ certifies the three invariants the live-mutation world promises:
 2. **Zero double-reindexes.**  The reindex checkpoint must carry exactly
    one ``done`` record per ``(db_id, epoch)``.
 3. **Byte-identical kill/resume.**  One more mutation is applied and
-   reindexed through a recording opener (logging the checkpoint's byte
-   length after every append); then simulated SIGKILLs are enumerated —
+   reindexed through a fault-free
+   :class:`~repro.storage.faults.FaultyStorage` (whose append log holds
+   the checkpoint's byte length after every append); then simulated
+   SIGKILLs are enumerated by
+   :func:`~repro.storage.crashfuzz.boundary_cuts` —
    a *clean* cut after each append, and a *torn* cut mid-way through
    the next line — and a fresh worker resumes each truncated
    checkpoint.  Every resume must leave the file byte-identical to the
@@ -39,8 +42,15 @@ from typing import Optional, Union
 from repro.livedata.epoch import EpochRegistry
 from repro.livedata.mutations import MutationDriver
 from repro.livedata.reindex import DoubleReindexError, ReindexWorker
+from repro.storage.crashfuzz import (
+    CutOutcome,
+    boundary_cuts,
+    build_campaign,
+    outcome_counts,
+)
+from repro.storage.faults import FaultyStorage, StorageFaultPlan
 
-__all__ = ["DriftFuzzConfig", "DriftOutcome", "DriftFuzzResult", "run_drift_fuzz"]
+__all__ = ["DriftFuzzConfig", "DriftFuzzResult", "run_drift_fuzz"]
 
 
 @dataclass
@@ -55,31 +65,12 @@ class DriftFuzzConfig:
     benchmark: str = "cluster-smoke"
     #: apply one mutation after every N served requests
     mutate_every: int = 1
-    #: bound the kill/resume cut enumeration to the first N boundaries
-    #: (None = every checkpoint append boundary)
+    #: bound the kill/resume cut enumeration to the first N clean and N
+    #: torn cuts plus the final clean cut (None = every checkpoint append
+    #: boundary)
     limit: Optional[int] = None
     #: include torn (mid-line) cut variants
     torn: bool = True
-
-
-@dataclass
-class DriftOutcome:
-    """One kill/resume cut point's verdict."""
-
-    cut: str  # "clean-004" | "torn-004"
-    kind: str  # "clean" | "torn"
-    outcome: str  # "identical" | "already-done" | "diverged" | "traceback"
-    detail: str = ""
-    ok: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "cut": self.cut,
-            "kind": self.kind,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "ok": self.ok,
-        }
 
 
 @dataclass
@@ -93,7 +84,7 @@ class DriftFuzzResult:
     epoch_stamps: dict = field(default_factory=dict)  # journal stamps / db
     duplicate_done: int = 0
     catchup_seconds: float = 0.0
-    outcomes: list = field(default_factory=list)  # DriftOutcome
+    outcomes: list = field(default_factory=list)  # CutOutcome
     cut_points: int = 0
     checkpoint_crc: int = 0
 
@@ -111,9 +102,6 @@ class DriftFuzzResult:
         )
 
     def summary(self) -> dict:
-        counts: dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.outcome] = counts.get(outcome.outcome, 0) + 1
         return {
             "requests": len(self.requests),
             "mutations": len(self.mutations),
@@ -124,7 +112,7 @@ class DriftFuzzResult:
             "catchup_seconds": round(self.catchup_seconds, 6),
             "cuts": len(self.outcomes),
             "append_boundaries": self.cut_points,
-            "outcomes": dict(sorted(counts.items())),
+            "outcomes": outcome_counts(self.outcomes),
             "ok": self.ok,
         }
 
@@ -155,73 +143,6 @@ class DriftFuzzResult:
         )
 
 
-class _RecordingOpener:
-    """Append-mode opener logging each write's byte length per file."""
-
-    def __init__(self):
-        #: (size_after_append, nbytes) in append order for the one path
-        self.log: list[tuple[int, int]] = []
-        self._size = 0
-
-    def __call__(self, path, mode: str):
-        outer = self
-
-        class _File:
-            def __init__(self):
-                self._handle = open(path, mode, encoding="utf-8")
-
-            def write(self, data: str) -> int:
-                written = self._handle.write(data)
-                outer._size += len(data.encode("utf-8"))
-                outer.log.append((outer._size, len(data.encode("utf-8"))))
-                return written
-
-            def flush(self):
-                self._handle.flush()
-
-            def fileno(self):
-                return self._handle.fileno()
-
-            def close(self):
-                self._handle.close()
-
-        return _File()
-
-
-def _build(config: DriftFuzzConfig):
-    """(workload, pipeline, benchmark) for the campaign."""
-    from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-    from repro.serving.workload import zipf_workload
-
-    routing_config: dict = {}
-    if config.routing:
-        from repro.routing import RoutingConfig
-
-        routing_config = RoutingConfig().to_dict()
-    cluster = ClusterConfig(
-        shards=1,
-        benchmark=config.benchmark,
-        candidates=config.candidates,
-        seed=config.seed,
-        journal_dir="unused",
-        routing=config.routing,
-        routing_config=routing_config,
-    )
-    benchmark, pipeline = build_worker_pipeline(cluster)
-    by_db: dict = {}
-    for example in benchmark.dev:
-        by_db.setdefault(example.db_id, []).append(example)
-    queues = list(by_db.values())
-    pool, index = [], 0
-    while len(pool) < config.distinct and any(queues):
-        queue = queues[index % len(queues)]
-        if queue:
-            pool.append(queue.pop(0))
-        index += 1
-    workload = zipf_workload(pool, requests=config.requests, seed=config.seed)
-    return workload, pipeline, benchmark
-
-
 def run_drift_fuzz(
     config: DriftFuzzConfig, workdir: Union[str, Path]
 ) -> DriftFuzzResult:
@@ -231,7 +152,7 @@ def run_drift_fuzz(
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    workload, pipeline, benchmark = _build(config)
+    workload, pipeline, _cluster, benchmark = build_campaign(config, shards=1)
     registry = EpochRegistry()
     driver = MutationDriver(benchmark, registry, seed=config.seed)
     result = DriftFuzzResult()
@@ -277,28 +198,28 @@ def run_drift_fuzz(
     result.catchup_seconds = worker.total_catchup_seconds
 
     # --------------------------------------- phase 2: kill/resume the worker
-    # One more mutation, reindexed through a recording opener so every
+    # One more mutation, reindexed through the fault-free recorder so every
     # checkpoint append boundary becomes a simulated SIGKILL point.
     event = driver.mutate()
     engine.invalidate_db(event.db_id)
     result.mutations = driver.log_dict()
-    recording = _RecordingOpener()
+    storage = FaultyStorage(StorageFaultPlan())
     ref_path = workdir / "reindex-ref.jsonl"
     ref_worker = ReindexWorker(
-        pipeline, ref_path, opener=recording, registry=registry
+        pipeline, ref_path, opener=storage.opener, registry=registry
     )
     ref_report = ref_worker.reindex(event.db_id, epoch=event.epoch)
     ref_worker.close()
     result.reindexes.append(ref_report.to_dict())
     result.catchup_seconds += ref_report.catchup_seconds
     ref_bytes = ref_path.read_bytes()
-    result.cut_points = len(recording.log)
+    result.cut_points = len(storage.log)
     result.checkpoint_crc = zlib.crc32(ref_bytes) & 0xFFFFFFFF
 
     def run_cut(cut_id: str, kind: str, length: int) -> None:
         cut_path = workdir / f"cut-{cut_id}.jsonl"
         cut_path.write_bytes(ref_bytes[:length])
-        entry = DriftOutcome(cut=cut_id, kind=kind, outcome="traceback")
+        entry = CutOutcome(cut=cut_id, kind=kind, outcome="traceback")
         try:
             cut_worker = ReindexWorker(
                 pipeline, cut_path, registry=registry
@@ -324,16 +245,10 @@ def run_drift_fuzz(
         result.outcomes.append(entry)
         cut_path.unlink(missing_ok=True)
 
-    clean_ks = list(range(len(recording.log) + 1))
-    torn_ks = [k for k, (_size, nbytes) in enumerate(recording.log) if nbytes >= 2]
-    if config.limit is not None:
-        clean_ks = clean_ks[: config.limit] + clean_ks[-1:]
-        torn_ks = torn_ks[: config.limit]
-    for k in clean_ks:
-        length = recording.log[k - 1][0] if k > 0 else 0
-        run_cut(f"clean-{k:03d}", "clean", length)
-    if config.torn:
-        for k in torn_ks:
-            size_after, nbytes = recording.log[k]
-            run_cut(f"torn-{k:03d}", "torn", size_after - nbytes + nbytes // 2)
+    # A limited enumeration still keeps the final clean cut: resuming a
+    # finished checkpoint is the DoubleReindexError probe.
+    for cut_id, kind, lengths in boundary_cuts(
+        storage.log, config.torn, config.limit, keep_final=True
+    ):
+        run_cut(cut_id, kind, lengths.get(str(ref_path), 0))
     return result

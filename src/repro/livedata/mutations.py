@@ -35,7 +35,7 @@ from typing import Optional
 from repro.datasets.build import Benchmark, BuiltDatabase
 from repro.livedata.epoch import EpochRegistry
 from repro.schema.model import Column, Database
-from repro.storage.faults import stable_hash
+from repro.seeded import stable_hash
 
 __all__ = ["MutationEvent", "MutationDriver", "MUTATION_KINDS"]
 

@@ -47,12 +47,12 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.livedata.errors import LiveDataError
+from repro.seeded import stable_hash
 from repro.storage.format import (
     JournalCorruptionError,
     encode_record,
     scan_file,
 )
-from repro.storage.faults import stable_hash
 
 __all__ = [
     "DoubleReindexError",

@@ -48,6 +48,7 @@ from repro.llm.tasks import (
 )
 from repro.schema.joins import JoinPathError, assemble_select
 from repro.schema.model import Database
+from repro.seeded import MASK, stable_hash
 from repro.sqlkit.ast import ColumnRef, FuncCall, Literal, Select, TableRef
 from repro.sqlkit.parser import ParseError, parse_select
 from repro.sqlkit.render import render, render_expr
@@ -86,10 +87,6 @@ def hard_fail_scale(example: Example, gold_like: SQLLike) -> float:
     )
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = (1 << 64) - 1
-
 #: trick-family traits handled by the trick_miss channel
 _TRICK_TRAITS = ("needs_distinct", "date_format", "evidence_formula")
 #: style-family traits handled by the style_break channel
@@ -121,22 +118,10 @@ class SimulatedLLM:
     # ------------------------------------------------------------- helpers
 
     def _hash(self, *parts: object) -> int:
-        value = _FNV_OFFSET
-        data = "|".join([str(self.seed), self.skill.name, *map(str, parts)]).encode()
-        for byte in data:
-            value ^= byte
-            value = (value * _FNV_PRIME) & _MASK
-        # FNV-1a avalanches poorly on trailing-byte changes (candidate
-        # indexes land at the end of the key), so finalize murmur3-style.
-        value ^= value >> 33
-        value = (value * 0xFF51AFD7ED558CCD) & _MASK
-        value ^= value >> 33
-        value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-        value ^= value >> 33
-        return value
+        return stable_hash(self.seed, self.skill.name, *parts)
 
     def _uniform(self, *parts: object) -> float:
-        return self._hash(*parts) / float(_MASK)
+        return self._hash(*parts) / float(MASK)
 
     def _content_rng(self, *parts: object) -> np.random.Generator:
         return np.random.default_rng(self._hash("content", *parts))

@@ -28,6 +28,7 @@ from repro.reliability.faults import (
     TransientTimeoutError,
 )
 from repro.reliability.stats import ReliabilityStats
+from repro.seeded import pick_band
 
 __all__ = ["FaultPlan", "FaultInjectingLLM"]
 
@@ -121,51 +122,53 @@ class FaultInjectingLLM:
     def _transport_fault(self) -> None:
         """Raise a transport fault when the draw lands in a transport band."""
         plan = self.plan
-        draw = self._rng.random()
-        if draw < plan.rate_limit:
-            self._record(FaultKind.RATE_LIMIT)
+        kind = pick_band(
+            self._rng.random(),
+            (
+                (FaultKind.RATE_LIMIT, plan.rate_limit),
+                (FaultKind.TIMEOUT, plan.timeout),
+                (FaultKind.SERVICE_UNAVAILABLE, plan.service_unavailable),
+            ),
+        )
+        if kind is None:
+            return
+        self._record(kind)
+        if kind is FaultKind.RATE_LIMIT:
             raise RateLimitError(retry_after=0.5)
-        draw -= plan.rate_limit
-        if draw < plan.timeout:
-            self._record(FaultKind.TIMEOUT)
+        if kind is FaultKind.TIMEOUT:
             raise TransientTimeoutError("request timed out after 60s")
-        draw -= plan.timeout
-        if draw < plan.service_unavailable:
-            self._record(FaultKind.SERVICE_UNAVAILABLE)
-            raise ServiceUnavailableError("503 service unavailable")
+        raise ServiceUnavailableError("503 service unavailable")
 
     def _degrade(self, responses: list[LLMResponse]) -> list[LLMResponse]:
         """Apply at most one content fault to the response list."""
         plan = self.plan
-        draw = self._rng.random()
-        if draw < plan.truncated:
-            victim = self._rng.randrange(len(responses))
-            self._record(FaultKind.TRUNCATED, detail=f"candidate {victim}")
-            text = responses[victim].text
-            responses[victim] = replace(
-                responses[victim], text=text[: max(1, len(text) // 3)]
-            )
+        kind = pick_band(
+            self._rng.random(),
+            (
+                (FaultKind.TRUNCATED, plan.truncated),
+                (FaultKind.EMPTY, plan.empty),
+                (FaultKind.MALFORMED, plan.malformed),
+                (FaultKind.LATENCY_SPIKE, plan.latency_spike),
+            ),
+        )
+        if kind is None:
             return responses
-        draw -= plan.truncated
-        if draw < plan.empty:
-            victim = self._rng.randrange(len(responses))
-            self._record(FaultKind.EMPTY, detail=f"candidate {victim}")
-            responses[victim] = replace(responses[victim], text="")
-            return responses
-        draw -= plan.empty
-        if draw < plan.malformed:
-            victim = self._rng.randrange(len(responses))
-            self._record(FaultKind.MALFORMED, detail=f"candidate {victim}")
-            junk = _MALFORMED_TEXTS[self._rng.randrange(len(_MALFORMED_TEXTS))]
-            responses[victim] = replace(responses[victim], text=junk)
-            return responses
-        draw -= plan.malformed
-        if draw < plan.latency_spike:
-            self._record(FaultKind.LATENCY_SPIKE)
-            responses = [
+        if kind is FaultKind.LATENCY_SPIKE:
+            self._record(kind)
+            return [
                 replace(r, latency_seconds=r.latency_seconds + plan.spike_seconds)
                 for r in responses
             ]
+        victim = self._rng.randrange(len(responses))
+        self._record(kind, detail=f"candidate {victim}")
+        text = responses[victim].text
+        if kind is FaultKind.TRUNCATED:
+            text = text[: max(1, len(text) // 3)]
+        elif kind is FaultKind.EMPTY:
+            text = ""
+        else:
+            text = _MALFORMED_TEXTS[self._rng.randrange(len(_MALFORMED_TEXTS))]
+        responses[victim] = replace(responses[victim], text=text)
         return responses
 
     # ----------------------------------------------------------------- API

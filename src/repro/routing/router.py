@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.caching import normalize_question
 from repro.datasets.types import Example
+from repro.seeded import fnv1a
 
 __all__ = [
     "Tier",
@@ -128,15 +129,6 @@ _WEIGHTS = {
     "evidence": 0.10,
     "dirty": 0.08,
 }
-
-
-def _fnv1a(data: str) -> int:
-    """64-bit FNV-1a — the same stable hash family the simulator uses."""
-    h = 0xCBF29CE484222325
-    for byte in data.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,7 @@ class DifficultyRouter:
             ["route", str(self.seed), example.db_id,
              normalize_question(example.question)]
         )
-        jitter = (_fnv1a(jitter_key) % 1000) / 1000.0 * self.config.jitter
+        jitter = (fnv1a(jitter_key.encode()) % 1000) / 1000.0 * self.config.jitter
         return round(score + jitter, 6)
 
     # --------------------------------------------------------------- route

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.datasets.types import Example
 
-__all__ = ["zipf_weights", "zipf_workload"]
+__all__ = ["spread_pool", "zipf_weights", "zipf_workload"]
 
 
 def zipf_weights(n: int, skew: float = 1.2) -> np.ndarray:
@@ -30,6 +30,27 @@ def zipf_weights(n: int, skew: float = 1.2) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks ** -skew
     return weights / weights.sum()
+
+
+def spread_pool(examples: Sequence[Example], distinct: int) -> list[Example]:
+    """Up to ``distinct`` examples dealt round-robin, one per database.
+
+    Databases take turns in first-appearance order, so N questions span
+    min(N, #dbs) databases — what a sharded ring needs to partition a
+    workload over every shard.  A pure function of its inputs.
+    """
+    by_db: dict = {}
+    for example in examples:
+        by_db.setdefault(example.db_id, []).append(example)
+    queues = list(by_db.values())
+    pool, index = [], 0
+    while len(pool) < distinct and any(queues):
+        queue = queues[index % len(queues)]
+        if queue:
+            pool.append(queue.pop(0))
+        index += 1
+    return pool
+
 
 def zipf_workload(
     examples: Sequence[Example],

@@ -3,8 +3,9 @@
 The recovery story (journal → segments → merged replay) is certified in
 CI against *one* kill point per job.  This module certifies all of them:
 it generates a 3-shard routed reference run whose segments are written
-through a recording opener (capturing the byte length of every segment
-after every append), then enumerates simulated power cuts —
+through a fault-free :class:`~repro.storage.faults.FaultyStorage` (whose
+append log captures the byte length of every segment after every
+append), then enumerates simulated power cuts —
 
 * **clean cuts** — after append k, every segment truncated to its exact
   length at that instant (simultaneous power loss across shards);
@@ -35,15 +36,25 @@ from __future__ import annotations
 
 import json
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from repro.storage.faults import stable_hash
+from repro.seeded import stable_hash
+from repro.storage.faults import FaultyStorage, StorageFaultPlan
 from repro.storage.format import JournalCorruptionError, JournalVersionError
 from repro.storage.fsck import repair_file
 
-__all__ = ["CrashFuzzConfig", "FuzzOutcome", "FuzzResult", "run_crash_fuzz"]
+__all__ = [
+    "CrashFuzzConfig",
+    "CutOutcome",
+    "FuzzResult",
+    "boundary_cuts",
+    "build_campaign",
+    "outcome_counts",
+    "run_crash_fuzz",
+]
 
 
 @dataclass
@@ -67,13 +78,15 @@ class CrashFuzzConfig:
 
 
 @dataclass
-class FuzzOutcome:
-    """One cut point's verdict."""
+class CutOutcome:
+    """One cut point's verdict (crash- and drift-fuzz alike)."""
 
     cut: str  # "clean-007", "torn-012", "flip-002"
     kind: str  # "clean" | "torn" | "flip"
-    outcome: str  # "identical" | "typed-loss" | "empty-journal" |
-    #              "wrong-report" | "double-serve" | "traceback"
+    outcome: str  # crash: "identical" | "typed-loss" | "empty-journal" |
+    #              "wrong-report" | "double-serve" | "traceback";
+    #              drift: "identical" | "already-done" | "diverged" |
+    #              "traceback"
     detail: str = ""
     #: bit-flip trials only: recovery verdict after ``repro fsck --repair``
     repaired: Optional[str] = None
@@ -92,6 +105,11 @@ class FuzzOutcome:
         return payload
 
 
+def outcome_counts(outcomes) -> dict[str, int]:
+    """``{outcome: count}`` over ``outcomes``, sorted by outcome."""
+    return dict(sorted(Counter(o.outcome for o in outcomes).items()))
+
+
 @dataclass
 class FuzzResult:
     """Campaign verdict: per-cut outcomes plus the rolled-up counts."""
@@ -105,14 +123,11 @@ class FuzzResult:
         return bool(self.outcomes) and all(o.ok for o in self.outcomes)
 
     def summary(self) -> dict:
-        counts: dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.outcome] = counts.get(outcome.outcome, 0) + 1
         return {
             "cuts": len(self.outcomes),
             "append_boundaries": self.cut_points,
             "ok": self.ok,
-            "outcomes": dict(sorted(counts.items())),
+            "outcomes": outcome_counts(self.outcomes),
         }
 
     def format(self) -> str:
@@ -125,57 +140,16 @@ class FuzzResult:
         )
 
 
-class _RecordingFile:
-    """Pass-through append handle that logs each write's byte effect."""
+def build_campaign(config, shards: int):
+    """(workload, pipeline, cluster, benchmark) for a certifier campaign.
 
-    def __init__(self, storage: "_RecordingStorage", path: Path, handle):
-        self._storage = storage
-        self._path = path
-        self._handle = handle
-
-    def write(self, data: str) -> int:
-        written = self._handle.write(data)
-        self._storage.record(self._path.name, len(data.encode("utf-8")))
-        return written
-
-    def flush(self) -> None:
-        self._handle.flush()
-
-    def fileno(self) -> int:
-        return self._handle.fileno()
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "_RecordingFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class _RecordingStorage:
-    """Opener whose log is the global append sequence across segments."""
-
-    def __init__(self):
-        #: (segment_name, size_after_append, append_bytes), append order
-        self.log: list[tuple[str, int, int]] = []
-        self._sizes: dict[str, int] = {}
-
-    def opener(self, path: Union[str, Path], mode: str) -> _RecordingFile:
-        path = Path(path)
-        return _RecordingFile(self, path, open(path, mode, encoding="utf-8"))
-
-    def record(self, name: str, nbytes: int) -> None:
-        size = self._sizes.get(name, 0) + nbytes
-        self._sizes[name] = size
-        self.log.append((name, size, nbytes))
-
-
-def _build_pipeline(config: CrashFuzzConfig):
-    """(workload, pipeline, cluster_config) for the campaign."""
+    ``config`` is a :class:`CrashFuzzConfig` or a
+    :class:`~repro.livedata.driftfuzz.DriftFuzzConfig`.  The distinct
+    pool is spread across databases so the ring actually partitions the
+    workload over all ``shards``.
+    """
     from repro.serving.cluster.config import ClusterConfig, build_worker_pipeline
-    from repro.serving.workload import zipf_workload
+    from repro.serving.workload import spread_pool, zipf_workload
 
     routing_config: dict = {}
     if config.routing:
@@ -183,7 +157,7 @@ def _build_pipeline(config: CrashFuzzConfig):
 
         routing_config = RoutingConfig().to_dict()
     cluster = ClusterConfig(
-        shards=config.shards,
+        shards=shards,
         benchmark=config.benchmark,
         candidates=config.candidates,
         seed=config.seed,
@@ -192,20 +166,9 @@ def _build_pipeline(config: CrashFuzzConfig):
         routing_config=routing_config,
     )
     benchmark, pipeline = build_worker_pipeline(cluster)
-    # Spread the distinct pool across databases so the ring actually
-    # partitions the workload over all shards.
-    by_db: dict = {}
-    for example in benchmark.dev:
-        by_db.setdefault(example.db_id, []).append(example)
-    queues = list(by_db.values())
-    pool, index = [], 0
-    while len(pool) < config.distinct and any(queues):
-        queue = queues[index % len(queues)]
-        if queue:
-            pool.append(queue.pop(0))
-        index += 1
+    pool = spread_pool(benchmark.dev, config.distinct)
     workload = zipf_workload(pool, requests=config.requests, seed=config.seed)
-    return workload, pipeline, cluster
+    return workload, pipeline, cluster, benchmark
 
 
 def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
@@ -219,25 +182,53 @@ def _write_reference(config, cluster, pipeline, workload, ref_dir: Path):
     )
 
     ref_dir.mkdir(parents=True, exist_ok=True)
-    recording = _RecordingStorage()
+    storage = FaultyStorage(StorageFaultPlan())
     for shard in range(config.shards):
         journal = ServingJournal(
-            ref_dir / segment_name(shard), opener=recording.opener
+            ref_dir / segment_name(shard), opener=storage.opener
         )
         journal.write_header(cluster.header_config(shard))
-    view = ShardedJournalView(ref_dir, opener=recording.opener)
+    view = ShardedJournalView(ref_dir, opener=storage.opener)
     outcomes = recover_run(view, pipeline, workload)
     report = assemble_report(outcomes, workload, pipeline, name="crashfuzz")
     doc = json.dumps(report.deterministic_dict(), sort_keys=True)
-    return recording.log, doc
+    log = [(Path(path).name, size, nbytes) for path, size, nbytes in storage.log]
+    return log, doc
 
 
 def _lengths_at(log, k: int) -> dict[str, int]:
-    """Per-segment byte lengths after the first ``k`` global appends."""
+    """Per-file byte lengths after the first ``k`` global appends."""
     lengths: dict[str, int] = {}
     for name, size_after, _nbytes in log[:k]:
         lengths[name] = size_after
     return lengths
+
+
+def boundary_cuts(
+    log, torn: bool, limit: Optional[int], *, keep_final: bool = False
+) -> Iterator[tuple[str, str, dict[str, int]]]:
+    """Yield ``(cut_id, kind, lengths)`` for the power cuts of ``log``.
+
+    ``log`` is a :attr:`FaultyStorage.log`-shaped ``(file, size_after,
+    nbytes)`` sequence; ``lengths`` maps every file that exists at the
+    cut to its surviving byte length.  Clean cut k keeps the first k
+    appends; with ``torn``, torn cut k also keeps append k (of 2+ bytes)
+    up to its midpoint byte.  ``limit`` bounds each kind to its first N
+    cuts; ``keep_final`` then still yields the complete-run clean cut.
+    """
+    clean_ks = list(range(len(log) + 1))
+    torn_ks = [k for k, entry in enumerate(log) if entry[2] >= 2] if torn else []
+    if limit is not None:
+        clean_ks, torn_ks = clean_ks[:limit], torn_ks[:limit]
+        if keep_final and len(log) not in clean_ks:
+            clean_ks.append(len(log))
+    for k in clean_ks:
+        yield f"clean-{k:03d}", "clean", _lengths_at(log, k)
+    for k in torn_ks:
+        name, _size_after, nbytes = log[k]
+        lengths = _lengths_at(log, k)
+        lengths[name] = lengths.get(name, 0) + nbytes // 2
+        yield f"torn-{k:03d}", "torn", lengths
 
 
 def _materialize(cut_dir: Path, lengths: dict[str, int], ref_bytes: dict):
@@ -290,7 +281,7 @@ def run_crash_fuzz(
 ) -> FuzzResult:
     """Run one full campaign under ``workdir`` (left on disk for triage)."""
     workdir = Path(workdir)
-    workload, pipeline, cluster = _build_pipeline(config)
+    workload, pipeline, cluster, _benchmark = build_campaign(config, config.shards)
     ref_dir = workdir / "reference"
     log, ref_doc = _write_reference(config, cluster, pipeline, workload, ref_dir)
     ref_bytes = {
@@ -298,21 +289,11 @@ def run_crash_fuzz(
     }
     result = FuzzResult(reference_doc=ref_doc, cut_points=len(log))
 
-    clean_ks = list(range(len(log) + 1))
-    torn_ks = (
-        [k for k, (_n, _s, nbytes) in enumerate(log) if nbytes >= 2]
-        if config.torn
-        else []
-    )
-    if config.limit is not None:
-        clean_ks = clean_ks[: config.limit]
-        torn_ks = torn_ks[: config.limit]
-
-    def run_cut(cut_id, kind, lengths):
+    for cut_id, kind, lengths in boundary_cuts(log, config.torn, config.limit):
         cut_dir = workdir / "cuts" / cut_id
         _materialize(cut_dir, lengths, ref_bytes)
         outcome, detail = _recover(cut_dir, pipeline, workload, ref_doc)
-        entry = FuzzOutcome(cut=cut_id, kind=kind, outcome=outcome, detail=detail)
+        entry = CutOutcome(cut=cut_id, kind=kind, outcome=outcome, detail=detail)
         # Pure power cuts must never lose anything recovery can't
         # rebuild: byte-identical, or (cut before any segment existed) a
         # typed empty-journal report.
@@ -322,18 +303,8 @@ def run_crash_fuzz(
         result.outcomes.append(entry)
         shutil.rmtree(cut_dir, ignore_errors=True)
 
-    for k in clean_ks:
-        run_cut(f"clean-{k:03d}", "clean", _lengths_at(log, k))
-
-    for k in torn_ks:
-        name, _size_after, nbytes = log[k]
-        lengths = _lengths_at(log, k)
-        lengths[name] = lengths.get(name, 0) + nbytes // 2
-        run_cut(f"torn-{k:03d}", "torn", lengths)
-
     for trial, k in enumerate(_flip_positions(log, config)):
         name, size_after, nbytes = log[k]
-        lengths = _lengths_at(log, len(log))
         data = bytearray(ref_bytes[name])
         start = size_after - nbytes
         position = start + stable_hash("flip-pos", config.seed, k) % max(
@@ -344,11 +315,9 @@ def run_crash_fuzz(
         flipped[name] = bytes(data)
         cut_id = f"flip-{trial:03d}"
         cut_dir = workdir / "cuts" / cut_id
-        cut_dir.mkdir(parents=True, exist_ok=True)
-        for seg_name, length in lengths.items():
-            (cut_dir / seg_name).write_bytes(flipped[seg_name][:length])
+        _materialize(cut_dir, _lengths_at(log, len(log)), flipped)
         outcome, detail = _recover(cut_dir, pipeline, workload, ref_doc)
-        entry = FuzzOutcome(cut=cut_id, kind="flip", outcome=outcome, detail=detail)
+        entry = CutOutcome(cut=cut_id, kind="flip", outcome=outcome, detail=detail)
         if outcome == "typed-loss":
             for segment in cut_dir.glob("journal-shard-*.jsonl"):
                 repair_file(segment)

@@ -6,8 +6,11 @@ that :class:`~repro.serving.journal.ServingJournal` and
 :class:`~repro.reliability.checkpoint.EvalCheckpoint` accept as a
 drop-in for :func:`open`, and every ``write()`` through it draws a
 fault from a seeded FNV hash keyed on ``(seed, path, append-index)`` —
-the same draw discipline as the database chaos layer, so a given seed
-produces the same fault schedule on every run and every platform.
+the same :mod:`repro.seeded` draw as the database chaos layer, so a
+given seed produces the same fault schedule on every run and every
+platform.  Every write that lands is also appended to
+:attr:`FaultyStorage.log`, which both crash certifiers enumerate their
+cut points from.
 
 Fault taxonomy (all independent, banded off one draw):
 
@@ -38,34 +41,16 @@ from __future__ import annotations
 import errno
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
-__all__ = ["StorageFaultPlan", "FaultyFile", "FaultyStorage", "stable_hash"]
+from repro.seeded import MASK, pick_band, stable_hash
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
+__all__ = ["StorageFaultPlan", "FaultyFile", "FaultyStorage"]
 
-
-def stable_hash(*parts: object) -> int:
-    """Process-independent FNV-1a hash with a murmur-style finalizer.
-
-    Mirrors ``execution/chaos.py`` so one seed discipline governs every
-    chaos layer in the repo.
-    """
-    value = _FNV_OFFSET
-    data = "|".join(map(str, parts)).encode()
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK
-    value ^= value >> 33
-    value = (value * 0xFF51AFD7ED558CCD) & _MASK
-    value ^= value >> 33
-    value = (value * 0xC4CEB9FE1A85EC53) & _MASK
-    value ^= value >> 33
-    return value
+#: the rate fields of :class:`StorageFaultPlan`, in band order
+_KINDS = ("torn_write", "short_write", "bit_flip", "enospc", "eio")
 
 
 @dataclass(frozen=True)
@@ -81,7 +66,7 @@ class StorageFaultPlan:
     enospc_after: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("torn_write", "short_write", "bit_flip", "enospc", "eio"):
+        for name in _KINDS:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -92,10 +77,7 @@ class StorageFaultPlan:
 
     @property
     def total_rate(self) -> float:
-        return (
-            self.torn_write + self.short_write + self.bit_flip
-            + self.enospc + self.eio
-        )
+        return sum(getattr(self, kind) for kind in _KINDS)
 
     @classmethod
     def none(cls) -> "StorageFaultPlan":
@@ -107,30 +89,22 @@ class StorageFaultPlan:
         return cls(torn_write=rate / 2, bit_flip=rate / 2)
 
     def to_dict(self) -> dict:
-        return {
-            "torn_write": self.torn_write,
-            "short_write": self.short_write,
-            "bit_flip": self.bit_flip,
-            "enospc": self.enospc,
-            "eio": self.eio,
-            "enospc_after": self.enospc_after,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StorageFaultPlan":
-        known = {f: payload[f] for f in (
-            "torn_write", "short_write", "bit_flip", "enospc", "eio",
-            "enospc_after") if f in payload}
-        return cls(**known)
+        names = [f.name for f in fields(cls)]
+        return cls(**{name: payload[name] for name in names if name in payload})
 
 
 class _PathState:
     """Per-file durability bookkeeping (guarded by FaultyStorage._lock)."""
 
-    __slots__ = ("appends", "durable_len", "cut_len", "tail_intact")
+    __slots__ = ("appends", "size", "durable_len", "cut_len", "tail_intact")
 
     def __init__(self, initial_len: int):
         self.appends = 0  # writes ever issued to this path
+        self.size = initial_len  # bytes that reached the file
         self.durable_len = initial_len  # survives fsync-respecting crash
         self.cut_len = initial_len  # survives a power cut right now
         self.tail_intact = True  # no tear since the last sync
@@ -198,6 +172,9 @@ class FaultyStorage:
         }
         #: one dict per injected fault, for assertions and debugging
         self.events: list[dict] = []
+        #: ``(path, size_after, nbytes)`` per write that reached a file,
+        #: in global order — the crash certifiers' cut-point source
+        self.log: list[tuple[str, int, int]] = []
 
     # ------------------------------------------------------------ public API
 
@@ -241,7 +218,7 @@ class FaultyStorage:
     # ------------------------------------------------------------- internals
 
     def _draw(self, path: Path, append_index: int) -> float:
-        return stable_hash(self.seed, str(path), append_index) / float(_MASK)
+        return stable_hash(self.seed, str(path), append_index) / float(MASK)
 
     def _pick_fault(self, path: Path, state: _PathState) -> Optional[str]:
         if (
@@ -250,13 +227,7 @@ class FaultyStorage:
         ):
             return "enospc"
         draw = self._draw(path, state.appends)
-        band = 0.0
-        for kind in ("torn_write", "short_write", "bit_flip", "enospc", "eio"):
-            rate = getattr(self.plan, kind)
-            if rate and draw < band + rate:
-                return kind
-            band += rate
-        return None
+        return pick_band(draw, ((kind, getattr(self.plan, kind)) for kind in _KINDS))
 
     def _write(self, path: Path, handle, payload: bytes) -> None:
         with self._lock:
@@ -266,7 +237,7 @@ class FaultyStorage:
             state.appends += 1
             self.stats["writes"] += 1
             if fault is None:
-                handle.write(payload)
+                self._land(path, state, handle, payload)
                 if state.tail_intact:
                     state.cut_len += len(payload)
                 return
@@ -275,7 +246,7 @@ class FaultyStorage:
                 # Full bytes reach the OS; only a prefix would survive a
                 # power cut.  Live state stays consistent — the lie is
                 # only visible after power_cut().
-                handle.write(payload)
+                self._land(path, state, handle, payload)
                 prefix = self._tear_point(path, append_index, len(payload))
                 if state.tail_intact:
                     state.cut_len += prefix
@@ -283,7 +254,7 @@ class FaultyStorage:
                 return
             if fault == "short_write":
                 prefix = self._tear_point(path, append_index, len(payload))
-                handle.write(payload[:prefix])
+                self._land(path, state, handle, payload[:prefix])
                 handle.flush()
                 if state.tail_intact:
                     state.cut_len += prefix
@@ -291,13 +262,18 @@ class FaultyStorage:
                 raise OSError(errno.EIO, f"short write ({prefix}/{len(payload)} bytes)")
             if fault == "bit_flip":
                 flipped = self._flip_bit(path, append_index, payload)
-                handle.write(flipped)
+                self._land(path, state, handle, flipped)
                 if state.tail_intact:
                     state.cut_len += len(flipped)
                 return
             if fault == "enospc":
                 raise OSError(errno.ENOSPC, "no space left on device (injected)")
             raise OSError(errno.EIO, "I/O error (injected)")
+
+    def _land(self, path: Path, state: _PathState, handle, data: bytes) -> None:
+        handle.write(data)
+        state.size += len(data)
+        self.log.append((str(path), state.size, len(data)))
 
     def _mark_durable(self, path: Path) -> None:
         with self._lock:

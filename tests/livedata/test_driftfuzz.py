@@ -42,3 +42,16 @@ class TestDriftFuzz:
         assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
             second.to_dict(), sort_keys=True
         )
+
+    def test_large_limit_enumerates_each_cut_once(self, tmp_path):
+        # a limit past every append boundary must not repeat the final
+        # clean cut it always keeps
+        config = small_config()
+        config.limit = 50
+        result = run_drift_fuzz(config, tmp_path / "run")
+        cuts = [o.cut for o in result.outcomes]
+        assert len(cuts) == len(set(cuts))
+        assert sum(o.kind == "clean" for o in result.outcomes) == (
+            result.cut_points + 1
+        )
+        assert result.summary()["outcomes"]["already-done"] == 1

@@ -7,7 +7,8 @@ fails fast, without the bench harness.
 
 import pytest
 
-from repro.storage.crashfuzz import CrashFuzzConfig, run_crash_fuzz
+from repro.storage import FaultyStorage, StorageFaultPlan
+from repro.storage.crashfuzz import CrashFuzzConfig, boundary_cuts, run_crash_fuzz
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +59,50 @@ def test_no_torn_config_skips_torn_cuts(tmp_path):
     )
     result = run_crash_fuzz(config, tmp_path)
     assert {o.kind for o in result.outcomes} == {"clean"}
+
+
+class TestBoundaryCuts:
+    @pytest.fixture
+    def log(self, tmp_path):
+        # two files written interleaved through the fault-free recorder
+        storage = FaultyStorage(StorageFaultPlan())
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        with storage.opener(a, "a") as fa, storage.opener(b, "a") as fb:
+            fa.write("aaaa\n")
+            fb.write("bb\n")
+            fa.write("a\n")
+            fb.write("bbbbbbbb\n")
+        return a, b, storage.log
+
+    def test_log_holds_exact_sizes_in_global_order(self, log):
+        a, b, entries = log
+        assert entries == [(a, 5, 5), (b, 3, 3), (a, 7, 2), (b, 12, 9)]
+
+    def test_clean_and_torn_lengths(self, log):
+        a, b, entries = log
+        cuts = {cut: (kind, lengths) for cut, kind, lengths in boundary_cuts(
+            entries, torn=True, limit=None)}
+        assert list(cuts) == [
+            "clean-000", "clean-001", "clean-002", "clean-003", "clean-004",
+            "torn-000", "torn-001", "torn-002", "torn-003",
+        ]
+        assert cuts["clean-000"] == ("clean", {})
+        assert cuts["clean-002"] == ("clean", {a: 5, b: 3})
+        assert cuts["clean-004"] == ("clean", {a: 7, b: 12})
+        assert cuts["torn-000"] == ("torn", {a: 2})
+        assert cuts["torn-002"] == ("torn", {a: 6, b: 3})
+        assert cuts["torn-003"] == ("torn", {a: 7, b: 7})
+
+    def test_limit_bounds_each_kind(self, log):
+        _a, _b, entries = log
+        ids = [cut for cut, _k, _l in boundary_cuts(entries, True, 2)]
+        assert ids == ["clean-000", "clean-001", "torn-000", "torn-001"]
+        assert [cut for cut, _k, _l in boundary_cuts(entries, False, 2)] == [
+            "clean-000", "clean-001"]
+
+    def test_keep_final_adds_the_last_clean_cut_once(self, log):
+        _a, _b, entries = log
+        short = [c for c, _k, _l in boundary_cuts(entries, False, 2, keep_final=True)]
+        assert short == ["clean-000", "clean-001", "clean-004"]
+        full = [c for c, _k, _l in boundary_cuts(entries, False, 50, keep_final=True)]
+        assert full == [f"clean-{k:03d}" for k in range(5)]

@@ -4,8 +4,8 @@ import errno
 
 import pytest
 
+from repro.seeded import fnv1a, pick_band, stable_hash
 from repro.storage import FaultyStorage, StorageFaultPlan
-from repro.storage.faults import stable_hash
 
 
 class TestPlan:
@@ -43,6 +43,28 @@ class TestStableHash:
     def test_keyed_on_every_part(self):
         assert stable_hash(0, "p", 1) != stable_hash(1, "p", 1)
         assert stable_hash(0, "p", 1) != stable_hash(0, "q", 1)
+
+    def test_golden_values(self):
+        # every simulated answer, fault schedule and cut point is seeded
+        # from these functions: a silent change would re-seed them all
+        assert stable_hash(0, "p", 1) == 8064430027258620923
+        assert stable_hash(0, "gpt-4o", "content", "q1", 3) == (
+            17965427093961877221
+        )
+        assert fnv1a(b"abc") == 16654208175385433931
+        assert fnv1a(b"") == 0xCBF29CE484222325
+
+
+class TestPickBand:
+    BANDS = (("a", 0.1), ("zero", 0.0), ("b", 0.2))
+
+    @pytest.mark.parametrize(
+        "draw, kind",
+        [(0.0, "a"), (0.09, "a"), (0.1, "b"), (0.29, "b"), (0.31, None),
+         (0.99, None)],
+    )
+    def test_bands_laid_end_to_end(self, draw, kind):
+        assert pick_band(draw, self.BANDS) == kind
 
 
 class TestEnospcAfter:

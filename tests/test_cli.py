@@ -28,6 +28,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--model", "claude", "stats"])
 
+    @pytest.mark.parametrize("command", ["evaluate", "serve-bench", "trace"])
+    @pytest.mark.parametrize("rate", ["-0.5", "1.5"])
+    def test_fault_rate_outside_unit_interval_rejected(
+        self, command, rate, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "--fault-rate", rate])
+        assert info.value.code == 2
+        assert "--fault-rate: must be in [0, 1]" in capsys.readouterr().err
+
+    def test_fault_rate_bounds_accepted(self):
+        for rate in ("0", "1"):
+            args = build_parser().parse_args(["serve-bench", "--fault-rate", rate])
+            assert args.fault_rate == float(rate)
+
 
 class TestStats:
     def test_prints_both_suites(self):
